@@ -27,7 +27,7 @@
 // (GET /metrics with Accept: application/openmetrics-text).
 //
 // With -debug-addr a second listener serves net/http/pprof under
-// /debug/pprof/, the expvar dump under /debug/vars, the flight
+// /debug/pprof/, the metrics JSON view under /debug/vars, the flight
 // recorder under /debug/requests[/{id}], the span store under
 // /debug/traces[/{traceid}], and the SLO burn-rate engine under
 // /debug/slo; keep it on loopback or an internal interface.
@@ -113,7 +113,7 @@ func validateConfig(cfg serve.Config) error {
 func main() {
 	var cfg serve.Config
 	flag.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.DebugAddr, "debug-addr", "", "debug listener address for pprof + expvar + flight recorder, e.g. 127.0.0.1:6060 (empty disables)")
+	flag.StringVar(&cfg.DebugAddr, "debug-addr", "", "debug listener address for pprof + metrics JSON + flight recorder, e.g. 127.0.0.1:6060 (empty disables)")
 	flag.DurationVar(&cfg.RequestTimeout, "timeout", 0, "per-request compute deadline (0 = 30s)")
 	flag.DurationVar(&cfg.DrainTimeout, "drain", 0, "graceful-shutdown drain deadline (0 = 30s)")
 	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "request body limit in bytes (0 = 8 MiB)")
@@ -135,7 +135,7 @@ func main() {
 	flag.IntVar(&cfg.TraceSampleEvery, "trace-sample", 0, "head-sample every Nth request for span tracing (0 = 16, 1 = all, negative disables; an incoming sampled traceparent always records)")
 	flag.IntVar(&cfg.TraceStoreSize, "trace-store", 0, "retained traces in the in-memory span store (0 = 256)")
 	flag.DurationVar(&cfg.SLOInterval, "slo-interval", 0, "SLO burn-rate evaluation interval (0 = 10s)")
-	flag.DurationVar(&cfg.SLOLatencyTarget, "slo-latency-target", 0, "latency-SLO threshold a P99-good request must beat (0 = 500ms)")
+	flag.DurationVar(&cfg.SLOLatencyTarget, "slo-latency-target", 0, "latency-SLO threshold a P99-good request must beat, one of the request-latency bucket bounds 1ms..30s (0 = 500ms)")
 	flag.StringVar(&cfg.ProfileDir, "profile-dir", "", "directory for pprof captures on fast-burn SLO alerts (empty disables)")
 	flag.IntVar(&cfg.ProfileMax, "profile-max", 0, "retained fast-burn profile capture sets (0 = 8)")
 	flag.DurationVar(&cfg.ProfileCPU, "profile-cpu", 0, "CPU-profile window per fast-burn capture (0 = 5s)")

@@ -329,7 +329,8 @@ func DetectContext(ctx context.Context, y []float64, opts Options) (res *Result,
 			hi = v
 		}
 	}
-	if span := math.Max(math.Abs(lo), math.Abs(hi)); hi-lo <= 1e-12*span {
+	span := math.Max(math.Abs(lo), math.Abs(hi))
+	if hi-lo <= 1e-12*span {
 		res.degrade(ctx, Degradation{Stage: trace.StageHPFilter, Reason: ReasonConstantSeries})
 		res.Preprocessed = make([]float64, n)
 		return res, nil
@@ -357,11 +358,24 @@ func DetectContext(ctx context.Context, y []float64, opts Options) (res *Result,
 	x := y
 	if !opts.SkipPreprocess {
 		st := tr.StartStage(trace.StageHPFilter)
+		// Huge magnitudes: past 2^512 the HP solve overflows (λ times a
+		// squared-scale quantity), and every level's robust solver then
+		// fails. HP is linear, so detrend a copy scaled by an exact power
+		// of two to unit magnitude and scale trend and residue back.
+		// Smaller inputs keep their path bit for bit.
+		hpIn, exp := y, 0
+		if span > 0x1p512 {
+			_, exp = math.Frexp(span)
+			hpIn = make([]float64, n)
+			for i, v := range y {
+				hpIn[i] = math.Ldexp(v, -exp)
+			}
+		}
 		var detrended, trend []float64
 		if opts.RobustTrend {
 			var irlsIters int
 			var herr error
-			trend, irlsIters, herr = hp.RobustTrendFilter(y, opts.Lambda, 0, 0)
+			trend, irlsIters, herr = hp.RobustTrendFilter(hpIn, opts.Lambda, 0, 0)
 			if herr != nil {
 				// The IRLS solve failed; RobustTrendFilter already
 				// handed back the classical quadratic-loss trend, so
@@ -372,11 +386,17 @@ func DetectContext(ctx context.Context, y []float64, opts Options) (res *Result,
 			}
 			tr.Count(trace.StageHPFilter, "irls_iters", int64(irlsIters))
 			detrended = make([]float64, n)
-			for i := range y {
-				detrended[i] = y[i] - trend[i]
+			for i := range hpIn {
+				detrended[i] = hpIn[i] - trend[i]
 			}
 		} else {
-			detrended, trend = hp.Detrend(y, opts.Lambda)
+			detrended, trend = hp.Detrend(hpIn, opts.Lambda)
+		}
+		if exp != 0 {
+			for i := range trend {
+				trend[i] = math.Ldexp(trend[i], exp)
+				detrended[i] = math.Ldexp(detrended[i], exp)
+			}
 		}
 		res.Trend = trend
 		// Scale guard: an essentially perfect trend fit means whatever

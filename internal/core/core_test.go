@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"robustperiod/internal/wavelet"
@@ -360,6 +361,53 @@ func BenchmarkDetectN2000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Detect(x, Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestDetectScaleInvariantToHugeMagnitudes sweeps a finite series up
+// to the top of the float64 range: the detected periods must not
+// depend on the scale, even where squaring a sample overflows.
+func TestDetectScaleInvariantToHugeMagnitudes(t *testing.T) {
+	const n = 1000
+	base := make([]float64, n)
+	peak := 0.0
+	for i := range base {
+		base[i] = math.Sin(2*math.Pi*float64(i)/24) + math.Sin(2*math.Pi*float64(i)/100)
+		peak = math.Max(peak, math.Abs(base[i]))
+	}
+	for i := range base {
+		base[i] /= peak // max|y| = 1, so every scale below stays finite
+	}
+	ref, err := Detect(base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !containsNear(ref.Periods, 24, 0.02) || !containsNear(ref.Periods, 100, 0.02) {
+		t.Fatalf("unscaled periods = %v, want ~[24 100]", ref.Periods)
+	}
+	for _, exp := range []int{0, 10, 100, 150, 154, 155, 200, 250, 300, 303, 305, 307, 308} {
+		scale := math.Pow(10, float64(exp))
+		y := make([]float64, n)
+		for i, v := range base {
+			y[i] = v * scale
+		}
+		res, err := Detect(y, Options{})
+		if err != nil {
+			t.Fatalf("scale 1e%d: %v", exp, err)
+		}
+		if !slices.Equal(res.Periods, ref.Periods) {
+			t.Errorf("scale 1e%d: periods %v, want %v as unscaled (degraded %v)", exp, res.Periods, ref.Periods, res.Degraded)
+		}
+		// The trend comes back in the input's units; the standardized
+		// series fed to the MODWT is scale-free.
+		for i := range y {
+			if got, want := res.Trend[i]/scale, ref.Trend[i]; math.Abs(got-want) > 1e-9 {
+				t.Fatalf("scale 1e%d: Trend[%d]/scale = %v, want %v", exp, i, got, want)
+			}
+			if got, want := res.Preprocessed[i], ref.Preprocessed[i]; math.Abs(got-want) > 1e-9 {
+				t.Fatalf("scale 1e%d: Preprocessed[%d] = %v, want %v", exp, i, got, want)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer of the serving
 // stack: per-request correlation IDs propagated through context,
-// structured logging on log/slog, streaming latency quantiles (the P²
-// algorithm), a Prometheus text-exposition writer plus a conformance
+// structured logging on log/slog, latency quantiles derived from bucket
+// histograms, a Prometheus text-exposition writer plus a conformance
 // checker for it, runtime gauges sourced from runtime/metrics, build
 // information, and a post-mortem flight recorder retaining the last K
 // request records with error/degraded requests pinned preferentially.

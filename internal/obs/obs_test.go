@@ -164,7 +164,7 @@ func TestBuildInfo(t *testing.T) {
 func TestRuntimeSampler(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	NewRuntimeSampler().WriteProm(p)
+	WriteRuntimeProm(p)
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}

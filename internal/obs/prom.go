@@ -218,10 +218,10 @@ func (p *PromWriter) HistogramExemplars(name string, labels []Label, bounds []fl
 	p.Sample(name+"_count", labels, float64(total))
 }
 
-// QuantileGauges emits one gauge sample per tracked quantile with the
-// conventional q label, e.g. name{...,q="0.99"}.
-func (p *PromWriter) QuantileGauges(name string, labels []Label, q *Quantiles) {
-	vals := q.Values()
+// QuantileGauges emits one gauge sample per QuantileTargets value with
+// the conventional q label, e.g. name{...,q="0.99"}; vals are in
+// QuantileTargets order, as BucketQuantiles returns them.
+func (p *PromWriter) QuantileGauges(name string, labels []Label, vals [3]float64) {
 	ls := make([]Label, len(labels)+1)
 	copy(ls, labels)
 	for i, lbl := range QuantileLabels {

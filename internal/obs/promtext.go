@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -28,22 +29,37 @@ type PromExemplar struct {
 
 // PromSample is one parsed sample line.
 type PromSample struct {
-	Name     string
-	Labels   map[string]string
-	Value    float64
-	Exemplar *PromExemplar // OpenMetrics only; nil when absent
+	Name     string            `json:"name"`
+	Labels   map[string]string `json:"labels,omitempty"`
+	Value    float64           `json:"value"`
+	Exemplar *PromExemplar     `json:"-"` // OpenMetrics only; nil when absent
 }
 
 // Label returns a label value ("" when absent).
 func (s PromSample) Label(name string) string { return s.Labels[name] }
 
+// MarshalJSON renders the sample with its value as a JSON number, or,
+// for the non-finite values JSON cannot carry, as the exposition's
+// spelling: the strings "+Inf", "-Inf" and "NaN".
+func (s PromSample) MarshalJSON() ([]byte, error) {
+	type plain PromSample
+	var v any = s.Value
+	if math.IsInf(s.Value, 0) || math.IsNaN(s.Value) {
+		v = formatValue(s.Value)
+	}
+	return json.Marshal(struct {
+		plain
+		Value any `json:"value"`
+	}{plain(s), v})
+}
+
 // PromFamily is one parsed metric family: the `# TYPE` declaration
 // plus every sample belonging to it.
 type PromFamily struct {
-	Name    string
-	Type    string // counter | gauge | histogram | summary | untyped
-	Help    string
-	Samples []PromSample
+	Name    string       `json:"name"`
+	Type    string       `json:"type"` // counter | gauge | histogram | summary | untyped
+	Help    string       `json:"help"`
+	Samples []PromSample `json:"samples"`
 }
 
 // validPromTypes is the closed set of TYPE declarations the format

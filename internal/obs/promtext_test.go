@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -143,5 +144,29 @@ func TestHistogramLabelGrouping(t *testing.T) {
 func TestParseSampleTimestamp(t *testing.T) {
 	if _, err := ParseExposition([]byte("rp_x 1 notatime\n")); err == nil {
 		t.Fatal("bad timestamp accepted")
+	}
+}
+
+// TestPromSampleJSONNonFinite: JSON has no literal for the non-finite
+// values, so a parsed sample marshals them as the exposition spells
+// them and finite values as plain numbers.
+func TestPromSampleJSONNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{
+		{math.Inf(1), `"+Inf"`},
+		{math.Inf(-1), `"-Inf"`},
+		{math.NaN(), `"NaN"`},
+		{0.25, `0.25`},
+	} {
+		raw, err := json.Marshal(PromSample{Name: "rp_x", Labels: map[string]string{"q": "0.5"}, Value: c.v})
+		if err != nil {
+			t.Fatalf("marshal %v: %v", c.v, err)
+		}
+		want := `{"name":"rp_x","labels":{"q":"0.5"},"value":` + c.want + `}`
+		if string(raw) != want {
+			t.Errorf("marshal %v = %s, want %s", c.v, raw, want)
+		}
 	}
 }

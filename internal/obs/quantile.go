@@ -1,188 +1,63 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
-// The P² (piecewise-parabolic) algorithm of Jain & Chlamtac (CACM
-// 1985) estimates a single quantile of a stream in O(1) space: five
-// markers track the minimum, the target quantile, two flanking
-// quantiles and the maximum, and each observation nudges the middle
-// markers along a parabolic interpolation of their neighbours. The
-// estimate converges to the true quantile for stationary inputs and
-// tracks slow drift — exactly the behavior wanted from a service
-// latency quantile that must never hold the full sample.
-
-// p2 estimates one quantile p ∈ (0, 1).
-type p2 struct {
-	p     float64
-	count int
-	q     [5]float64 // marker heights
-	n     [5]float64 // marker positions (1-based)
-	np    [5]float64 // desired positions
-	dn    [5]float64 // desired-position increments
-}
-
-func newP2(p float64) p2 {
-	return p2{
-		p:  p,
-		dn: [5]float64{0, p / 2, p, (1 + p) / 2, 1},
-	}
-}
-
-func (e *p2) observe(x float64) {
-	if e.count < 5 {
-		e.q[e.count] = x
-		e.count++
-		if e.count == 5 {
-			sort.Float64s(e.q[:])
-			for i := 0; i < 5; i++ {
-				e.n[i] = float64(i + 1)
-			}
-			e.np = [5]float64{1, 1 + 2*e.p, 1 + 4*e.p, 3 + 2*e.p, 5}
-		}
-		return
-	}
-	e.count++
-
-	// Locate the cell holding x, stretching the extremes when x lands
-	// outside the current marker span.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.n[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.np[i] += e.dn[i]
-	}
-
-	// Nudge the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.np[i] - e.n[i]
-		if (d >= 1 && e.n[i+1]-e.n[i] > 1) || (d <= -1 && e.n[i-1]-e.n[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			qp := e.parabolic(i, s)
-			if e.q[i-1] < qp && qp < e.q[i+1] {
-				e.q[i] = qp
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.n[i] += s
-		}
-	}
-}
-
-// parabolic is the P² (piecewise-parabolic) height update for marker i
-// moving by s ∈ {−1, +1}.
-func (e *p2) parabolic(i int, s float64) float64 {
-	return e.q[i] + s/(e.n[i+1]-e.n[i-1])*
-		((e.n[i]-e.n[i-1]+s)*(e.q[i+1]-e.q[i])/(e.n[i+1]-e.n[i])+
-			(e.n[i+1]-e.n[i]-s)*(e.q[i]-e.q[i-1])/(e.n[i]-e.n[i-1]))
-}
-
-// linear is the fallback height update when the parabola would leave
-// the bracketing markers' interval.
-func (e *p2) linear(i int, s float64) float64 {
-	j := i + int(s)
-	return e.q[i] + s*(e.q[j]-e.q[i])/(e.n[j]-e.n[i])
-}
-
-// value returns the current estimate; with fewer than five
-// observations it falls back to the exact sample quantile.
-func (e *p2) value() float64 {
-	if e.count == 0 {
-		return 0
-	}
-	if e.count < 5 {
-		var s [5]float64
-		copy(s[:], e.q[:e.count])
-		sort.Float64s(s[:e.count])
-		idx := int(e.p * float64(e.count))
-		if idx >= e.count {
-			idx = e.count - 1
-		}
-		return s[idx]
-	}
-	return e.q[2]
-}
-
-// QuantileTargets are the quantiles every Quantiles set tracks, in
-// the order Values reports them.
+// QuantileTargets are the quantiles every _quantile gauge family
+// reports, in the order BucketQuantiles returns them.
 var QuantileTargets = [3]float64{0.5, 0.9, 0.99}
 
 // QuantileLabels are the Prometheus q label values matching
 // QuantileTargets.
 var QuantileLabels = [3]string{"0.5", "0.9", "0.99"}
 
-// Quantiles tracks the P50/P90/P99 of a stream with three P²
-// estimators behind one mutex. Observe is O(1) and allocation-free.
-type Quantiles struct {
-	mu    sync.Mutex
-	est   [3]p2
-	count uint64
-	sum   float64
-}
-
-// NewQuantiles returns an empty tracker for QuantileTargets.
-func NewQuantiles() *Quantiles {
-	q := &Quantiles{}
-	for i, p := range QuantileTargets {
-		q.est[i] = newP2(p)
-	}
-	return q
-}
-
-// Observe folds one value into every estimator.
-func (q *Quantiles) Observe(v float64) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	for i := range q.est {
-		q.est[i].observe(v)
-	}
-	q.count++
-	q.sum += v
-	q.mu.Unlock()
-}
-
-// Values returns the current estimates in QuantileTargets order.
-func (q *Quantiles) Values() [3]float64 {
-	var out [3]float64
-	if q == nil {
-		return out
-	}
-	q.mu.Lock()
-	for i := range q.est {
-		out[i] = q.est[i].value()
-	}
-	q.mu.Unlock()
-	return out
-}
-
-// Count reports how many values have been observed.
-func (q *Quantiles) Count() uint64 {
-	if q == nil {
+// bucketQuantile returns quantile p of a bucketed histogram with the
+// semantics of Prometheus histogram_quantile. bounds are the finite
+// bucket upper bounds, ascending; cum are the cumulative counts, cum[i]
+// observations at or under bounds[i], plus one final element for the
+// +Inf bucket (the total). The rank p·total is located in its bucket
+// and interpolated linearly inside it, with 0 as the lower edge of the
+// first bucket (or that bucket's bound, when it is not positive). A
+// rank in the +Inf bucket answers the highest finite bound. An empty
+// histogram answers 0. The resolution is therefore the width of the
+// bucket holding the rank.
+func bucketQuantile(p float64, bounds []float64, cum []uint64) float64 {
+	if len(bounds) == 0 || len(cum) != len(bounds)+1 || cum[len(bounds)] == 0 {
 		return 0
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.count
+	rank := p * float64(cum[len(bounds)])
+	b := sort.Search(len(bounds), func(i int) bool { return float64(cum[i]) >= rank })
+	if b == len(bounds) {
+		return bounds[len(bounds)-1]
+	}
+	if b == 0 && bounds[0] <= 0 {
+		return bounds[0]
+	}
+	lo, below := 0.0, 0.0
+	if b > 0 {
+		lo, below = bounds[b-1], float64(cum[b-1])
+	}
+	in := float64(cum[b]) - below
+	if in == 0 {
+		return lo
+	}
+	return lo + (bounds[b]-lo)*(rank-below)/in
+}
+
+// BucketQuantiles returns the QuantileTargets quantiles of a histogram
+// given in the PromWriter.Histogram convention: per-bucket (not
+// cumulative) counts, len(bounds)+1 of them, the last the +Inf
+// overflow bucket. Each is computed by bucketQuantile, with the
+// semantics of Prometheus histogram_quantile.
+func BucketQuantiles(bounds []float64, counts []uint64) [3]float64 {
+	cum := make([]uint64, len(counts))
+	var run uint64
+	for i, c := range counts {
+		run += c
+		cum[i] = run
+	}
+	var out [3]float64
+	for i, p := range QuantileTargets {
+		out[i] = bucketQuantile(p, bounds, cum)
+	}
+	return out
 }

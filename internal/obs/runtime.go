@@ -7,10 +7,10 @@ import (
 	"robustperiod/internal/registry"
 )
 
-// Runtime gauges sourced from the runtime/metrics package. One
-// RuntimeSampler owns the sample buffer and the descriptors so a
-// scrape does a single metrics.Read and renders straight into the
-// exposition, no intermediate maps.
+// Runtime gauges sourced from the runtime/metrics package. A scrape
+// does a single metrics.Read into a buffer of its own, so concurrent
+// scrapes (/metrics next to /debug/vars) share nothing, and renders
+// straight into the exposition, no intermediate maps.
 
 // runtimeSamples are the runtime/metrics keys scraped per exposition.
 var runtimeSamples = []string{
@@ -23,60 +23,16 @@ var runtimeSamples = []string{
 	"/sched/latencies:seconds",
 }
 
-// RuntimeSampler reads a fixed set of runtime/metrics samples and
-// writes them as rp_go_* Prometheus gauges.
-type RuntimeSampler struct {
-	samples []metrics.Sample
-}
-
-// NewRuntimeSampler prepares the sample buffer.
-func NewRuntimeSampler() *RuntimeSampler {
-	s := make([]metrics.Sample, len(runtimeSamples))
+// WriteRuntimeProm samples the runtime and emits the rp_go_* gauge
+// families.
+func WriteRuntimeProm(p *PromWriter) {
+	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i, name := range runtimeSamples {
-		s[i].Name = name
+		samples[i].Name = name
 	}
-	return &RuntimeSampler{samples: s}
-}
-
-// histQuantile extracts quantile p from a runtime Float64Histogram by
-// walking the cumulative bucket counts and returning the upper bound
-// of the bucket where the target rank falls. Infinite bounds fall back
-// to the nearest finite neighbour.
-func histQuantile(h *metrics.Float64Histogram, p float64) float64 {
-	if h == nil || len(h.Counts) == 0 {
-		return 0
-	}
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= rank {
-			// Bucket i spans Buckets[i]..Buckets[i+1].
-			ub := h.Buckets[i+1]
-			if math.IsInf(ub, 1) {
-				return h.Buckets[i]
-			}
-			return ub
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1]
-}
-
-// WriteProm samples the runtime and emits the rp_go_* gauge families.
-func (rs *RuntimeSampler) WriteProm(p *PromWriter) {
-	metrics.Read(rs.samples)
+	metrics.Read(samples)
 	get := func(name string) metrics.Sample {
-		for _, s := range rs.samples {
+		for _, s := range samples {
 			if s.Name == name {
 				return s
 			}
@@ -114,12 +70,18 @@ func (rs *RuntimeSampler) WriteProm(p *PromWriter) {
 		if s.Value.Kind() != metrics.KindFloat64Histogram {
 			return
 		}
+		// Buckets are the len(Counts)+1 bucket edges, -Inf first and
+		// +Inf last; the finite upper bounds are the ones in between.
 		h := s.Value.Float64Histogram()
+		bounds, counts := h.Buckets[1:], h.Counts
+		if n := len(bounds); n > 0 && math.IsInf(bounds[n-1], 1) {
+			bounds = bounds[:n-1]
+		} else {
+			counts = append(counts[:len(counts):len(counts)], 0)
+		}
 		//lint:ignore rplint/registry promName is forwarded verbatim from the registry constants below
 		p.Family(promName, help, "gauge")
-		for i, lbl := range QuantileLabels {
-			p.Sample(promName, []Label{{"q", lbl}}, histQuantile(h, QuantileTargets[i]))
-		}
+		p.QuantileGauges(promName, nil, BucketQuantiles(bounds, counts))
 	}
 	histGauges(registry.MetricGoGCPauseSeconds, "Distribution of stop-the-world GC pause latencies (quantiles).",
 		"/gc/pauses:seconds")

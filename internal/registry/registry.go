@@ -118,7 +118,6 @@ const (
 	LockTraceRecording   = "trace.Recording.mu"    // per-request span recording
 	LockObsScopeFault    = "obs.Scope.faultMu"     // request-scope fault annotations
 	LockObsRecorder      = "obs.Recorder.mu"       // request flight-recorder dual ring
-	LockObsQuantiles     = "obs.Quantiles.mu"      // P2 streaming quantile estimator
 )
 
 // LockOrder returns the canonical lock acquisition order, outermost
@@ -140,7 +139,6 @@ func LockOrder() []string {
 		LockTraceRecording,
 		LockObsScopeFault,
 		LockObsRecorder,
-		LockObsQuantiles,
 	}
 }
 
@@ -164,9 +162,10 @@ func HotPaths() []string {
 		"trace.(*Recording).AddSpan",
 		"trace.(*Recording).Annotate",
 		"trace.ParseTraceparent",
-		// internal/obs: the per-request steady-state observation path
-		// (TestQuantilesObserveAllocationFree, recorder/IDGen pins).
-		"obs.(*Quantiles).Observe",
+		// internal/serve: the per-request metrics observation
+		// (TestMetricsObserveAllocFree).
+		"serve.(*metrics).observe",
+		// internal/obs: the recorder and request-ID pins.
 		"obs.(*Recorder).Record",
 		"obs.(*IDGen).Next",
 		// internal/faults: the disabled-check fast path pinned at zero
@@ -212,6 +211,10 @@ const (
 	MetricWALFsyncsTotal        = "rp_wal_fsyncs_total"
 	MetricWALBytes              = "rp_wal_bytes"
 	MetricWALReplayRecordsTotal = "rp_wal_replay_records_total"
+	MetricWALAppendErrorsTotal  = "rp_wal_append_errors_total"
+	MetricWALSyncErrorsTotal    = "rp_wal_sync_errors_total"
+	MetricWALEncodeErrorsTotal  = "rp_wal_encode_errors_total"
+	MetricWALCompactionsTotal   = "rp_wal_compactions_total"
 	MetricJobsRecoveredTotal    = "rp_jobs_recovered_total"
 	MetricJobsLostTotal         = "rp_jobs_lost_total"
 
@@ -282,19 +285,23 @@ var metrics = []Metric{
 	{MetricJobsShedTotal, "counter", "Async job submissions rejected by the fair-share admission bounds.", false},
 	{MetricJobsQueueDepth, "gauge", "Async job executions waiting in the fair-share queues.", false},
 	{MetricJobsState, "gauge", "Async jobs currently retained, by state (queued, running, done, failed).", false},
-	{MetricJobLatencyQuantile, "gauge", "Streaming submit-to-completion job-latency quantile estimates (P2 algorithm).", false},
+	{MetricJobLatencyQuantile, "gauge", "Submit-to-completion job-latency quantiles, derived at scrape from a bucket histogram (resolution is the bucket width).", false},
 
 	{MetricWALAppendsTotal, "counter", "Records appended to the jobs write-ahead log.", false},
 	{MetricWALFsyncsTotal, "counter", "Fsyncs issued by the jobs write-ahead log.", false},
 	{MetricWALBytes, "gauge", "Size of the current jobs write-ahead-log segment in bytes.", false},
 	{MetricWALReplayRecordsTotal, "counter", "Log records decoded during startup replay.", false},
+	{MetricWALAppendErrorsTotal, "counter", "Failed appends to the jobs write-ahead log.", false},
+	{MetricWALSyncErrorsTotal, "counter", "Failed fsyncs of the jobs write-ahead log, background interval syncs included.", false},
+	{MetricWALEncodeErrorsTotal, "counter", "Job payloads or results that failed to encode for the write-ahead log.", false},
+	{MetricWALCompactionsTotal, "counter", "Snapshot-and-compaction cycles of the jobs write-ahead log.", false},
 	{MetricJobsRecoveredTotal, "counter", "Jobs restored to a pollable state by crash recovery (finished results plus re-enqueued submissions).", false},
 	{MetricJobsLostTotal, "counter", "Jobs that were mid-execution at a crash and failed as lost to restart.", false},
 
 	{Name: MetricRequestDuration, Type: "histogram", Help: "Request latency by endpoint.", Exemplars: true},
 	{Name: MetricStageDuration, Type: "histogram", Help: "Pipeline stage latency by stage (microsecond-resolution low buckets).", Exemplars: true},
-	{MetricRequestLatencyQuantile, "gauge", "Streaming request-latency quantile estimates (P2 algorithm) by endpoint.", false},
-	{MetricStageLatencyQuantile, "gauge", "Streaming stage-latency quantile estimates (P2 algorithm) by stage.", false},
+	{MetricRequestLatencyQuantile, "gauge", "Request-latency quantiles by endpoint, derived at scrape from the bucket histogram (resolution is the bucket width).", false},
+	{MetricStageLatencyQuantile, "gauge", "Stage-latency quantiles by stage, derived at scrape from the bucket histogram (resolution is the bucket width).", false},
 
 	{MetricTracesSampledTotal, "counter", "Requests whose span tree was sampled into the trace flight recorder.", false},
 	{MetricTraceSpansTotal, "counter", "Spans recorded into the trace flight recorder.", false},

@@ -1,9 +1,10 @@
-// The debug listener: net/http/pprof profiling, the expvar JSON dump,
+// The debug listener: net/http/pprof profiling, the metrics JSON view,
 // and the flight-recorder surfaces, served on a separate address so
 // introspection endpoints are never exposed on the public API port.
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -243,13 +244,32 @@ func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// handleVars serves GET /debug/vars: the /metrics exposition parsed
+// back into families and served as one JSON object keyed by family
+// name, so the JSON view cannot drift from the exposition. Each family
+// carries its type, help and samples (see obs.PromSample.MarshalJSON
+// for non-finite values).
+func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
+	var buf bytes.Buffer
+	_ = s.metrics.writeProm(&buf, false) // a bytes.Buffer write cannot fail
+	fams, err := obs.ParseExposition(buf.Bytes())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal_error", "metrics exposition does not parse: %v", err)
+		return
+	}
+	out := make(map[string]obs.PromFamily, len(fams))
+	for _, f := range fams {
+		out[f.Name] = f
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
 // DebugHandler returns the handler served on Config.DebugAddr:
 //
 //	GET /debug/pprof/          pprof index (profile, heap, goroutine,
 //	                           block, mutex, trace, cmdline, symbol)
-//	GET /debug/vars            this server's expvar metrics as one
-//	                           JSON object (the pre-Prometheus
-//	                           /metrics view)
+//	GET /debug/vars            the /metrics exposition as one JSON
+//	                           object keyed by family name
 //	GET /debug/requests        flight recorder: recent + pinned
 //	                           request records, newest first
 //	                           (?limit= ?outcome= ?tenant=)
@@ -273,10 +293,7 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, s.metrics.vars.String())
-	})
+	mux.HandleFunc("/debug/vars", s.handleVars)
 	mux.HandleFunc("GET /debug/requests", s.handleRequestList)
 	mux.HandleFunc("GET /debug/requests/{id}", s.handleRequestByID)
 	mux.HandleFunc("GET /debug/traces", s.handleTraceList)
@@ -290,7 +307,7 @@ func (s *Server) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "robustperiod debug listener")
 		fmt.Fprintln(w, "  /debug/pprof/         profiling")
-		fmt.Fprintln(w, "  /debug/vars           expvar metrics (JSON)")
+		fmt.Fprintln(w, "  /debug/vars           metrics exposition as JSON")
 		fmt.Fprintln(w, "  /debug/requests       flight recorder (recent requests)")
 		fmt.Fprintln(w, "  /debug/requests/{id}  one request by X-Request-ID")
 		fmt.Fprintln(w, "  /debug/traces         trace flight recorder (sampled span trees)")

@@ -162,10 +162,9 @@ func TestStageHistogramsOnMetrics(t *testing.T) {
 }
 
 // TestStageHistogramsRegisteredOncePerServer pins the restart
-// behavior the expvar package punishes globally: constructing,
-// serving with, closing and re-constructing servers must not panic on
-// duplicate metric names, because every server owns a private expvar
-// map. (A process-global expvar.Publish of the same name panics.)
+// behavior: constructing, serving with, closing and re-constructing
+// servers must not panic or share metric state, because every server
+// owns its own histograms and counters.
 func TestStageHistogramsRegisteredOncePerServer(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s, err := New(Config{})
@@ -183,7 +182,7 @@ func TestStageHistogramsRegisteredOncePerServer(t *testing.T) {
 }
 
 // TestDebugHandlerSurfaces checks the separate debug listener serves
-// the pprof index, a profile endpoint, and the expvar dump.
+// the pprof index, a profile endpoint, and the metrics JSON view.
 func TestDebugHandlerSurfaces(t *testing.T) {
 	s, err := New(Config{})
 	if err != nil {
@@ -217,8 +216,8 @@ func TestDebugHandlerSurfaces(t *testing.T) {
 		t.Fatal("pprof index does not list profiles")
 	}
 
-	// The expvar dump on the debug listener is the same object as the
-	// API /metrics, including the stage histograms.
+	// The JSON view on the debug listener is the API /metrics
+	// exposition keyed by family name, stage histograms included.
 	res2, err := http.Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +227,7 @@ func TestDebugHandlerSurfaces(t *testing.T) {
 	if err := json.NewDecoder(res2.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m["stage_latency_ms"]; !ok {
-		t.Fatal("debug /debug/vars missing stage_latency_ms")
+	if _, ok := m["rp_stage_duration_seconds"]; !ok {
+		t.Fatal("debug /debug/vars missing rp_stage_duration_seconds")
 	}
 }

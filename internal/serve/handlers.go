@@ -337,7 +337,7 @@ type detOut struct {
 // DetectDetailsContext, then cache fill. It reports whether the
 // answer came from the cache. Every computed (non-cached) detection
 // runs with a stage trace attached — the per-stage wall times feed
-// the stage_latency_ms histograms, and ?debug=1 responses inline the
+// the stage latency histograms, and ?debug=1 responses inline the
 // summary. bypassCache skips both cache read and fill, so a debug
 // request always reports timings of an actual run, never a memoized
 // result.
@@ -523,7 +523,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if retry, ok := s.admit(); !ok {
-		s.metrics.shed.Add(epDetect, 1)
+		s.metrics.endpoint[epDetect].shed.Add(1)
 		if scope != nil {
 			scope.ErrorCode = "overloaded"
 		}
@@ -610,7 +610,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One admission decision covers the whole batch: a half-accepted
 	// batch is worse than a shed one (the client must retry anyway).
 	if retry, ok := s.admit(); !ok {
-		s.metrics.shed.Add(epBatch, 1)
+		s.metrics.endpoint[epBatch].shed.Add(1)
 		if scope != nil {
 			scope.ErrorCode = "overloaded"
 		}
@@ -688,8 +688,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics serves GET /metrics, content-negotiated: OpenMetrics
 // 1.0 with trace-ID bucket exemplars when the scraper asks for it
 // (Accept: application/openmetrics-text), the classic Prometheus
-// 0.0.4 text format otherwise. The expvar JSON view of the same
-// counters stays available on the debug listener at /debug/vars.
+// 0.0.4 text format otherwise. The debug listener serves the same
+// exposition as JSON at /debug/vars.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ct := obs.NegotiateContentType(r.Header.Get("Accept"))
 	w.Header().Set("Content-Type", ct)

@@ -98,10 +98,10 @@ func (s *Server) execJob(ctx context.Context, payload any) (any, bool, error) {
 }
 
 // onJobDone feeds terminal jobs into the submit-to-completion latency
-// quantile estimator (the jobs.Manager fires it outside its lock).
+// histogram (the jobs.Manager fires it outside its lock).
 func (s *Server) onJobDone(j jobs.Job) {
 	if !j.Finished.IsZero() && !j.Submitted.IsZero() {
-		s.jobLatQ.Observe(j.Finished.Sub(j.Submitted).Seconds())
+		s.metrics.jobLat.Observe(j.Finished.Sub(j.Submitted), "")
 	}
 }
 
@@ -151,7 +151,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			scope.ErrorCode = apiErr.Code
 		}
 		if status == http.StatusTooManyRequests {
-			s.metrics.shed.Add(epJobs, 1)
+			s.metrics.endpoint[epJobs].shed.Add(1)
 			w.Header().Set("Retry-After", strconv.Itoa(s.jobRetrySeconds()))
 		}
 		writeJSON(w, status, map[string]*APIError{"error": apiErr})

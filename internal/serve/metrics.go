@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"expvar"
-	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"robustperiod/internal/jobs"
@@ -30,10 +28,9 @@ var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
 // regression below a millisecond.
 var stageBucketsMS = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 5000}
 
-// histogram is a fixed-bucket latency histogram implementing
-// expvar.Var, so it can live inside an expvar.Map and render itself
-// as JSON on /debug/vars. The same counts back the Prometheus
-// exposition on /metrics.
+// histogram is a fixed-bucket latency histogram. Its counts back the
+// _bucket/_sum/_count series on /metrics and, through BucketQuantiles,
+// the _quantile gauges and the ?debug=1 stage quantiles.
 type histogram struct {
 	bounds []float64 // upper bounds in milliseconds
 	mu     sync.Mutex
@@ -59,16 +56,16 @@ func newHistogram(bounds []float64) *histogram {
 	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
-// Observe records one request duration.
-func (h *histogram) Observe(d time.Duration) {
-	h.ObserveTraced(d, "", time.Time{})
-}
-
-// ObserveTraced records one duration and, when the observation came
-// from a sampled request, pins its trace ID as the bucket's exemplar.
-func (h *histogram) ObserveTraced(d time.Duration, traceID string, now time.Time) {
+// Observe records one duration and, when the observation came from a
+// sampled request (traceID non-empty), pins its trace ID as the
+// bucket's exemplar.
+func (h *histogram) Observe(d time.Duration, traceID string) {
 	ms := float64(d) / float64(time.Millisecond)
 	i := sort.SearchFloat64s(h.bounds, ms)
+	var now time.Time
+	if traceID != "" {
+		now = time.Now()
+	}
 	h.mu.Lock()
 	h.counts[i]++
 	h.total++
@@ -123,269 +120,98 @@ func (h *histogram) snapshot() (counts []uint64, total uint64, sumMS float64, ex
 	return counts, h.total, h.sumMS, ex
 }
 
-// String renders the histogram as a JSON object with cumulative
-// bucket counts (Prometheus-style "le" semantics).
-func (h *histogram) String() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"count":%d,"sumMs":%.3f,"buckets":{`, h.total, h.sumMS)
-	cum := uint64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i]
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `"le%g":%d`, bound, cum)
-	}
-	fmt.Fprintf(&b, `,"leInf":%d}}`, h.total)
-	return b.String()
-}
-
-// metrics aggregates every counter the service exports. The vars live
-// in a per-Server expvar.Map rather than the process-global expvar
-// registry, so multiple servers (e.g. in tests) never collide on
-// Publish and /debug/vars reports exactly one server's view. The same
-// state renders as Prometheus text exposition on GET /metrics.
+// metrics aggregates every counter the service exports, as plain
+// atomics and histograms owned by one Server, so several servers (in
+// tests) never share state. GET /metrics renders them as the text
+// exposition, and /debug/vars serves that same exposition as JSON.
 type metrics struct {
-	vars *expvar.Map
+	endpoint map[string]*endpointStats // fixed at construction
+	stageLat map[string]*histogram     // per pipeline stage, fixed at construction
+	jobLat   *histogram                // async submit-to-completion latency
 
-	requests        *expvar.Map // per-endpoint request counters
-	errors          *expvar.Map // per-endpoint error (non-2xx) counters
-	shed            *expvar.Map // per-endpoint load-shed counters (429/503 before compute)
-	inFlight        *expvar.Int
-	cacheHits       *expvar.Int
-	cacheMisses     *expvar.Int
-	panicsRecovered *expvar.Int
-	degradedTotal   *expvar.Int           // detections that returned degradation annotations
-	latency         map[string]*histogram // per-endpoint
-	stageLat        map[string]*histogram // per pipeline stage
-
-	// Streaming P50/P90/P99 estimates (P² algorithm), observed in
-	// seconds, alongside the fixed-bucket histograms: the histograms
-	// give Prometheus aggregatable data, the quantiles give an instant
-	// answer without a query engine.
-	latQ   map[string]*obs.Quantiles // per-endpoint
-	stageQ map[string]*obs.Quantiles // per pipeline stage
+	inFlight        atomic.Int64
+	cacheHits       atomic.Int64
+	cacheMisses     atomic.Int64
+	panicsRecovered atomic.Int64
+	degradedTotal   atomic.Int64 // detections that returned degradation annotations
+	tracesSampled   atomic.Int64
+	traceSpans      atomic.Int64
+	profileCaptures atomic.Int64
 
 	endpoints []string // sorted, for deterministic exposition order
 	stages    []string
 
-	// Snapshot hooks into the rest of the server, for the gauge
-	// families of the exposition.
+	// Snapshot hooks into the rest of the server, set by New, for the
+	// gauge families of the exposition.
 	queueDepth  func() int
 	cacheLen    func() int
 	corruptions func() int64
 	breakers    map[string]*breaker
+	jobsMgr     *jobs.Manager
+	jobEWMA     func() float64
+	tenants     *tenantCounts
+	sloStatus   func() []slo.Status
+}
 
-	// Async job tier hooks (registerJobs).
-	jobsMgr *jobs.Manager
-	jobLatQ *obs.Quantiles
-	jobEWMA func() float64
-
-	// Span tracing and tenant accounting (registerTracing).
-	tracesSampled *expvar.Int
-	traceSpans    *expvar.Int
-	tenants       *tenantCounts
-
-	// SLO engine hooks (registerSLO).
-	sloStatus       func() []slo.Status
-	profileCaptures *expvar.Int
-
-	runtime *obs.RuntimeSampler
+// endpointStats is one endpoint's request accounting.
+type endpointStats struct {
+	requests atomic.Int64 // requests served
+	errors   atomic.Int64 // answered with status >= 400
+	shed     atomic.Int64 // shed before compute (429 or 503)
+	latency  *histogram
 }
 
 func newMetrics(endpoints []string, queueDepth, cacheLen func() int) *metrics {
 	m := &metrics{
-		vars:            new(expvar.Map).Init(),
-		requests:        new(expvar.Map).Init(),
-		errors:          new(expvar.Map).Init(),
-		shed:            new(expvar.Map).Init(),
-		inFlight:        new(expvar.Int),
-		cacheHits:       new(expvar.Int),
-		cacheMisses:     new(expvar.Int),
-		panicsRecovered: new(expvar.Int),
-		degradedTotal:   new(expvar.Int),
-		tracesSampled:   new(expvar.Int),
-		traceSpans:      new(expvar.Int),
-		profileCaptures: new(expvar.Int),
-		latency:         make(map[string]*histogram, len(endpoints)),
-		latQ:            make(map[string]*obs.Quantiles, len(endpoints)),
-		stageQ:          make(map[string]*obs.Quantiles),
-		queueDepth:      queueDepth,
-		cacheLen:        cacheLen,
-		runtime:         obs.NewRuntimeSampler(),
+		endpoint:   make(map[string]*endpointStats, len(endpoints)),
+		stageLat:   make(map[string]*histogram),
+		jobLat:     newHistogram(latencyBucketsMS),
+		queueDepth: queueDepth,
+		cacheLen:   cacheLen,
 	}
-	m.endpoints = append(m.endpoints, endpoints...)
-	sort.Strings(m.endpoints)
-	lat := new(expvar.Map).Init()
 	for _, ep := range endpoints {
-		m.requests.Add(ep, 0)
-		m.errors.Add(ep, 0)
-		m.shed.Add(ep, 0)
-		h := newHistogram(latencyBucketsMS)
-		m.latency[ep] = h
-		lat.Set(ep, h)
-		m.latQ[ep] = obs.NewQuantiles()
+		m.endpoint[ep] = &endpointStats{latency: newHistogram(latencyBucketsMS)}
+		m.endpoints = append(m.endpoints, ep)
 	}
-	// Per-stage histograms are keyed by the fixed canonical stage set
-	// and registered exactly once, here, into this server's private
-	// expvar map — restarting or running several servers (tests) never
-	// re-publishes a name.
-	m.stageLat = make(map[string]*histogram)
-	stageLat := new(expvar.Map).Init()
+	sort.Strings(m.endpoints)
 	for _, st := range trace.PipelineStages() {
-		h := newHistogram(stageBucketsMS)
-		m.stageLat[st] = h
-		stageLat.Set(st, h)
-		m.stageQ[st] = obs.NewQuantiles()
+		m.stageLat[st] = newHistogram(stageBucketsMS)
 		m.stages = append(m.stages, st)
 	}
 	sort.Strings(m.stages)
-	m.vars.Set("stage_latency_ms", stageLat)
-	m.vars.Set("requests", m.requests)
-	m.vars.Set("errors", m.errors)
-	m.vars.Set("requests_shed_total", m.shed)
-	m.vars.Set("in_flight", m.inFlight)
-	m.vars.Set("cache_hits", m.cacheHits)
-	m.vars.Set("cache_misses", m.cacheMisses)
-	m.vars.Set("panics_recovered", m.panicsRecovered)
-	m.vars.Set("degraded_total", m.degradedTotal)
-	m.vars.Set("latency_ms", lat)
-	m.vars.Set("worker_queue_depth", expvar.Func(func() any { return queueDepth() }))
-	m.vars.Set("cache_entries", expvar.Func(func() any { return cacheLen() }))
 	return m
 }
 
-// registerBreakers exposes each compute endpoint's breaker state
-// ("closed"/"open"/"half-open") and cumulative open count on
-// /debug/vars and, numerically, on the Prometheus exposition.
-func (m *metrics) registerBreakers(breakers map[string]*breaker) {
-	m.breakers = breakers
-	states := new(expvar.Map).Init()
-	opens := new(expvar.Map).Init()
-	for ep, br := range breakers {
-		br := br
-		states.Set(ep, expvar.Func(func() any { s, _ := br.snapshot(); return s }))
-		opens.Set(ep, expvar.Func(func() any { _, n := br.snapshot(); return n }))
-	}
-	m.vars.Set("breaker_state", states)
-	m.vars.Set("breaker_opens_total", opens)
-}
-
-// registerCacheCorruptions exposes the count of cache entries dropped
-// by the integrity check on read.
-func (m *metrics) registerCacheCorruptions(f func() int64) {
-	m.corruptions = f
-	m.vars.Set("cache_corruptions", expvar.Func(func() any { return f() }))
-}
-
-// registerJobs exposes the async job tier: cumulative counters, queue
-// depth and per-state gauges, the submit-to-completion latency
-// quantiles, and the admission controller's EWMA service-time
-// estimate, on both /debug/vars and the Prometheus exposition.
-func (m *metrics) registerJobs(mgr *jobs.Manager, latQ *obs.Quantiles, ewma func() float64) {
-	m.jobsMgr = mgr
-	m.jobLatQ = latQ
-	m.jobEWMA = ewma
-	m.vars.Set("jobs", expvar.Func(func() any {
-		c := mgr.Counters()
-		return map[string]any{
-			"submitted":   c.Submitted,
-			"coalesced":   c.Coalesced,
-			"executions":  c.Executions,
-			"done_ok":     c.DoneOK,
-			"done_failed": c.DoneFailed,
-			"expired":     c.Expired,
-			"shed":        c.Shed,
-			"queue_depth": mgr.QueueDepth(),
-			"states":      mgr.StateCounts(),
-		}
-	}))
-	m.vars.Set("jobs_wal", expvar.Func(func() any {
-		ws := mgr.WALStats()
-		if !ws.Enabled {
-			return map[string]any{"enabled": false}
-		}
-		return map[string]any{
-			"enabled":        true,
-			"appends":        ws.Appends,
-			"append_errs":    ws.AppendErrs,
-			"fsyncs":         ws.Fsyncs,
-			"sync_errs":      ws.SyncErrs,
-			"bytes":          ws.Bytes,
-			"replay_records": ws.ReplayRecords,
-			"compactions":    ws.Compactions,
-			"encode_errs":    ws.EncodeErrs,
-			"recovered":      ws.Recovered,
-			"lost":           ws.Lost,
-		}
-	}))
-	m.vars.Set("admission_job_time_seconds", expvar.Func(func() any { return ewma() }))
-}
-
-// registerTracing exposes the span-tracing counters and the capped
-// per-tenant request counts on /debug/vars and, via writeProm, the
-// exposition.
-func (m *metrics) registerTracing(t *tenantCounts) {
-	m.tenants = t
-	m.vars.Set("traces_sampled_total", m.tracesSampled)
-	m.vars.Set("trace_spans_total", m.traceSpans)
-	m.vars.Set("tenant_requests", expvar.Func(func() any {
-		labels, counts := t.snapshot()
-		out := make(map[string]uint64, len(labels))
-		for i, l := range labels {
-			out[l] = counts[i]
-		}
-		return out
-	}))
-}
-
-// registerSLO exposes the burn-rate engine's evaluated objectives and
-// the post-mortem capture counter.
-func (m *metrics) registerSLO(eng *slo.Engine) {
-	m.sloStatus = eng.Status
-	m.vars.Set("slo", expvar.Func(func() any { return eng.Status() }))
-	m.vars.Set("slo_profile_captures_total", m.profileCaptures)
-}
-
 // observeStages folds one detection's per-stage wall times into the
-// stage latency histograms and quantile estimators, pinning the
-// sampled request's trace ID as each stage bucket's exemplar. Stages
-// outside the canonical pipeline set are ignored (the histogram keys
-// are fixed at construction).
+// stage latency histograms, pinning the sampled request's trace ID as
+// each stage bucket's exemplar. Stages outside the canonical pipeline
+// set are ignored (the histogram keys are fixed at construction).
 func (m *metrics) observeStages(s *trace.Summary, traceID string) {
 	if s == nil {
 		return
 	}
-	now := time.Time{}
-	if traceID != "" {
-		now = time.Now()
-	}
 	for _, st := range s.Stages {
 		if h, ok := m.stageLat[st.Name]; ok {
-			h.ObserveTraced(st.Duration, traceID, now)
+			h.Observe(st.Duration, traceID)
 		}
-		m.stageQ[st.Name].Observe(st.Duration.Seconds())
 	}
 }
 
 // annotateStageQuantiles fills a wire trace's per-stage P50/P90/P99
-// fields from the server-wide streaming estimators, converted to the
-// milliseconds the wire trace speaks.
+// fields from the server-wide stage histograms, in the milliseconds
+// the wire trace speaks.
 func (m *metrics) annotateStageQuantiles(ts *TraceSummary) {
 	if ts == nil {
 		return
 	}
 	for i := range ts.Stages {
-		q := m.stageQ[ts.Stages[i].Stage]
-		if q.Count() == 0 {
+		h, ok := m.stageLat[ts.Stages[i].Stage]
+		if !ok {
 			continue
 		}
-		v := q.Values()
-		ts.Stages[i].P50Ms = v[0] * 1000
-		ts.Stages[i].P90Ms = v[1] * 1000
-		ts.Stages[i].P99Ms = v[2] * 1000
+		counts, _, _, _ := h.snapshot()
+		q := obs.BucketQuantiles(h.bounds, counts)
+		ts.Stages[i].P50Ms, ts.Stages[i].P90Ms, ts.Stages[i].P99Ms = q[0], q[1], q[2]
 	}
 }
 
@@ -393,27 +219,12 @@ func (m *metrics) annotateStageQuantiles(ts *TraceSummary) {
 // sampled request's trace ID (empty when unsampled) and becomes the
 // latency bucket's exemplar.
 func (m *metrics) observe(ep string, d time.Duration, status int, traceID string) {
-	m.requests.Add(ep, 1)
+	e := m.endpoint[ep]
+	e.requests.Add(1)
 	if status >= 400 {
-		m.errors.Add(ep, 1)
+		e.errors.Add(1)
 	}
-	if h, ok := m.latency[ep]; ok {
-		now := time.Time{}
-		if traceID != "" {
-			now = time.Now()
-		}
-		h.ObserveTraced(d, traceID, now)
-	}
-	m.latQ[ep].Observe(d.Seconds())
-}
-
-// expvarInt reads the counter registered for key in an expvar map of
-// *expvar.Int values.
-func expvarInt(m *expvar.Map, key string) float64 {
-	if v, ok := m.Get(key).(*expvar.Int); ok {
-		return float64(v.Value())
-	}
-	return 0
+	e.latency.Observe(d, traceID)
 }
 
 // breakerStateCode maps a breaker state name to the numeric gauge the
@@ -432,22 +243,35 @@ func breakerStateCode(state string) float64 {
 // promHistogram renders one histogram series, converting the
 // millisecond-denominated buckets to base-unit seconds and attaching
 // the per-bucket trace-ID exemplars (emitted only in OpenMetrics
-// mode; the writer drops them in 0.0.4 output).
-func promHistogram(p *obs.PromWriter, name string, labels []obs.Label, h *histogram) {
+// mode; the writer drops them in 0.0.4 output). It returns the bucket
+// counts it rendered, so the scrape's quantile gauges derive from the
+// same snapshot.
+func promHistogram(p *obs.PromWriter, name string, labels []obs.Label, h *histogram) []uint64 {
 	counts, _, sumMS, ex := h.snapshot()
 	boundsSec := make([]float64, len(h.bounds))
 	for i, b := range h.bounds {
 		boundsSec[i] = b / 1000
 	}
 	p.HistogramExemplars(name, labels, boundsSec, counts, sumMS/1000, ex)
+	return counts
+}
+
+// quantilesSec derives the QuantileTargets quantiles of a millisecond
+// histogram's bucket counts, in base-unit seconds.
+func quantilesSec(h *histogram, counts []uint64) [3]float64 {
+	q := obs.BucketQuantiles(h.bounds, counts)
+	for i := range q {
+		q[i] /= 1000
+	}
+	return q
 }
 
 // writeProm renders the full text exposition — Prometheus 0.0.4, or
 // OpenMetrics 1.0 with bucket exemplars and the terminal # EOF when
 // openMetrics is set: build info, request/error/shed counters,
 // gauges, breaker states, tenant and tracing counters, SLO burn
-// rates, latency and stage histograms (seconds), streaming quantiles,
-// and the runtime gauges. Families and series are emitted in sorted
+// rates, latency and stage histograms (seconds), the quantile gauges
+// derived from them, and the runtime gauges. Families and series are emitted in sorted
 // label order so scrapes are diffable.
 func (m *metrics) writeProm(w io.Writer, openMetrics bool) error {
 	p := obs.NewPromWriter(w)
@@ -458,36 +282,36 @@ func (m *metrics) writeProm(w io.Writer, openMetrics bool) error {
 
 	p.Family(registry.MetricRequestsTotal, "HTTP requests served, by endpoint.", "counter")
 	for _, ep := range m.endpoints {
-		p.Sample(registry.MetricRequestsTotal, []obs.Label{{Name: "endpoint", Value: ep}}, expvarInt(m.requests, ep))
+		p.Sample(registry.MetricRequestsTotal, []obs.Label{{Name: "endpoint", Value: ep}}, float64(m.endpoint[ep].requests.Load()))
 	}
 	p.Family(registry.MetricRequestErrorsTotal, "Requests answered with status >= 400, by endpoint.", "counter")
 	for _, ep := range m.endpoints {
-		p.Sample(registry.MetricRequestErrorsTotal, []obs.Label{{Name: "endpoint", Value: ep}}, expvarInt(m.errors, ep))
+		p.Sample(registry.MetricRequestErrorsTotal, []obs.Label{{Name: "endpoint", Value: ep}}, float64(m.endpoint[ep].errors.Load()))
 	}
 	p.Family(registry.MetricRequestsShedTotal, "Requests shed before compute (429 or 503), by endpoint.", "counter")
 	for _, ep := range m.endpoints {
-		p.Sample(registry.MetricRequestsShedTotal, []obs.Label{{Name: "endpoint", Value: ep}}, expvarInt(m.shed, ep))
+		p.Sample(registry.MetricRequestsShedTotal, []obs.Label{{Name: "endpoint", Value: ep}}, float64(m.endpoint[ep].shed.Load()))
 	}
 
 	p.Family(registry.MetricRequestsInFlight, "Requests currently inside a handler.", "gauge")
-	p.Sample(registry.MetricRequestsInFlight, nil, float64(m.inFlight.Value()))
+	p.Sample(registry.MetricRequestsInFlight, nil, float64(m.inFlight.Load()))
 	p.Family(registry.MetricWorkerQueueDepth, "Detection jobs waiting in the worker queue.", "gauge")
 	p.Sample(registry.MetricWorkerQueueDepth, nil, float64(m.queueDepth()))
 	p.Family(registry.MetricCacheEntries, "Entries currently in the result cache.", "gauge")
 	p.Sample(registry.MetricCacheEntries, nil, float64(m.cacheLen()))
 
 	p.Family(registry.MetricCacheHitsTotal, "Result-cache hits.", "counter")
-	p.Sample(registry.MetricCacheHitsTotal, nil, float64(m.cacheHits.Value()))
+	p.Sample(registry.MetricCacheHitsTotal, nil, float64(m.cacheHits.Load()))
 	p.Family(registry.MetricCacheMissesTotal, "Result-cache misses.", "counter")
-	p.Sample(registry.MetricCacheMissesTotal, nil, float64(m.cacheMisses.Value()))
+	p.Sample(registry.MetricCacheMissesTotal, nil, float64(m.cacheMisses.Load()))
 	if m.corruptions != nil {
 		p.Family(registry.MetricCacheCorruptionsTotal, "Cache entries dropped by the integrity check on read.", "counter")
 		p.Sample(registry.MetricCacheCorruptionsTotal, nil, float64(m.corruptions()))
 	}
 	p.Family(registry.MetricPanicsRecoveredTotal, "Panics recovered in handlers and detection workers.", "counter")
-	p.Sample(registry.MetricPanicsRecoveredTotal, nil, float64(m.panicsRecovered.Value()))
+	p.Sample(registry.MetricPanicsRecoveredTotal, nil, float64(m.panicsRecovered.Load()))
 	p.Family(registry.MetricDegradedTotal, "Detections that returned graceful-degradation annotations.", "counter")
-	p.Sample(registry.MetricDegradedTotal, nil, float64(m.degradedTotal.Value()))
+	p.Sample(registry.MetricDegradedTotal, nil, float64(m.degradedTotal.Load()))
 
 	if len(m.breakers) > 0 {
 		eps := make([]string, 0, len(m.breakers))
@@ -531,8 +355,9 @@ func (m *metrics) writeProm(w io.Writer, openMetrics bool) error {
 		for _, st := range jobs.StateNames() {
 			p.Sample(registry.MetricJobsState, []obs.Label{{Name: "state", Value: st}}, float64(states[st]))
 		}
-		p.Family(registry.MetricJobLatencyQuantile, "Streaming submit-to-completion job-latency quantile estimates (P2 algorithm).", "gauge")
-		p.QuantileGauges(registry.MetricJobLatencyQuantile, nil, m.jobLatQ)
+		jobCounts, _, _, _ := m.jobLat.snapshot()
+		p.Family(registry.MetricJobLatencyQuantile, "Submit-to-completion job-latency quantiles, derived at scrape from a bucket histogram (resolution is the bucket width).", "gauge")
+		p.QuantileGauges(registry.MetricJobLatencyQuantile, nil, quantilesSec(m.jobLat, jobCounts))
 		if ws := m.jobsMgr.WALStats(); ws.Enabled {
 			p.Family(registry.MetricWALAppendsTotal, "Records appended to the jobs write-ahead log.", "counter")
 			p.Sample(registry.MetricWALAppendsTotal, nil, float64(ws.Appends))
@@ -542,6 +367,14 @@ func (m *metrics) writeProm(w io.Writer, openMetrics bool) error {
 			p.Sample(registry.MetricWALBytes, nil, float64(ws.Bytes))
 			p.Family(registry.MetricWALReplayRecordsTotal, "Log records decoded during startup replay.", "counter")
 			p.Sample(registry.MetricWALReplayRecordsTotal, nil, float64(ws.ReplayRecords))
+			p.Family(registry.MetricWALAppendErrorsTotal, "Failed appends to the jobs write-ahead log.", "counter")
+			p.Sample(registry.MetricWALAppendErrorsTotal, nil, float64(ws.AppendErrs))
+			p.Family(registry.MetricWALSyncErrorsTotal, "Failed fsyncs of the jobs write-ahead log, background interval syncs included.", "counter")
+			p.Sample(registry.MetricWALSyncErrorsTotal, nil, float64(ws.SyncErrs))
+			p.Family(registry.MetricWALEncodeErrorsTotal, "Job payloads or results that failed to encode for the write-ahead log.", "counter")
+			p.Sample(registry.MetricWALEncodeErrorsTotal, nil, float64(ws.EncodeErrs))
+			p.Family(registry.MetricWALCompactionsTotal, "Snapshot-and-compaction cycles of the jobs write-ahead log.", "counter")
+			p.Sample(registry.MetricWALCompactionsTotal, nil, float64(ws.Compactions))
 			p.Family(registry.MetricJobsRecoveredTotal, "Jobs restored to a pollable state by crash recovery (finished results plus re-enqueued submissions).", "counter")
 			p.Sample(registry.MetricJobsRecoveredTotal, nil, float64(ws.Recovered))
 			p.Family(registry.MetricJobsLostTotal, "Jobs that were mid-execution at a crash and failed as lost to restart.", "counter")
@@ -557,9 +390,9 @@ func (m *metrics) writeProm(w io.Writer, openMetrics bool) error {
 		}
 	}
 	p.Family(registry.MetricTracesSampledTotal, "Requests whose span tree was sampled into the trace flight recorder.", "counter")
-	p.Sample(registry.MetricTracesSampledTotal, nil, float64(m.tracesSampled.Value()))
+	p.Sample(registry.MetricTracesSampledTotal, nil, float64(m.tracesSampled.Load()))
 	p.Family(registry.MetricTraceSpansTotal, "Spans recorded into the trace flight recorder.", "counter")
-	p.Sample(registry.MetricTraceSpansTotal, nil, float64(m.traceSpans.Value()))
+	p.Sample(registry.MetricTraceSpansTotal, nil, float64(m.traceSpans.Load()))
 
 	if m.sloStatus != nil {
 		sts := m.sloStatus()
@@ -592,28 +425,30 @@ func (m *metrics) writeProm(w io.Writer, openMetrics bool) error {
 			}
 		}
 		p.Family(registry.MetricSLOProfileCapturesTotal, "pprof profile captures triggered by fast-burn SLO alerts.", "counter")
-		p.Sample(registry.MetricSLOProfileCapturesTotal, nil, float64(m.profileCaptures.Value()))
+		p.Sample(registry.MetricSLOProfileCapturesTotal, nil, float64(m.profileCaptures.Load()))
 	}
 
 	p.Family(registry.MetricRequestDuration, "Request latency by endpoint.", "histogram")
-	for _, ep := range m.endpoints {
-		promHistogram(p, registry.MetricRequestDuration, []obs.Label{{Name: "endpoint", Value: ep}}, m.latency[ep])
+	latCounts := make([][]uint64, len(m.endpoints))
+	for i, ep := range m.endpoints {
+		latCounts[i] = promHistogram(p, registry.MetricRequestDuration, []obs.Label{{Name: "endpoint", Value: ep}}, m.endpoint[ep].latency)
 	}
 	p.Family(registry.MetricStageDuration, "Pipeline stage latency by stage (microsecond-resolution low buckets).", "histogram")
-	for _, st := range m.stages {
-		promHistogram(p, registry.MetricStageDuration, []obs.Label{{Name: "stage", Value: st}}, m.stageLat[st])
+	stageCounts := make([][]uint64, len(m.stages))
+	for i, st := range m.stages {
+		stageCounts[i] = promHistogram(p, registry.MetricStageDuration, []obs.Label{{Name: "stage", Value: st}}, m.stageLat[st])
 	}
 
-	p.Family(registry.MetricRequestLatencyQuantile, "Streaming request-latency quantile estimates (P2 algorithm) by endpoint.", "gauge")
-	for _, ep := range m.endpoints {
-		p.QuantileGauges(registry.MetricRequestLatencyQuantile, []obs.Label{{Name: "endpoint", Value: ep}}, m.latQ[ep])
+	p.Family(registry.MetricRequestLatencyQuantile, "Request-latency quantiles by endpoint, derived at scrape from the bucket histogram (resolution is the bucket width).", "gauge")
+	for i, ep := range m.endpoints {
+		p.QuantileGauges(registry.MetricRequestLatencyQuantile, []obs.Label{{Name: "endpoint", Value: ep}}, quantilesSec(m.endpoint[ep].latency, latCounts[i]))
 	}
-	p.Family(registry.MetricStageLatencyQuantile, "Streaming stage-latency quantile estimates (P2 algorithm) by stage.", "gauge")
-	for _, st := range m.stages {
-		p.QuantileGauges(registry.MetricStageLatencyQuantile, []obs.Label{{Name: "stage", Value: st}}, m.stageQ[st])
+	p.Family(registry.MetricStageLatencyQuantile, "Stage-latency quantiles by stage, derived at scrape from the bucket histogram (resolution is the bucket width).", "gauge")
+	for i, st := range m.stages {
+		p.QuantileGauges(registry.MetricStageLatencyQuantile, []obs.Label{{Name: "stage", Value: st}}, quantilesSec(m.stageLat[st], stageCounts[i]))
 	}
 
-	m.runtime.WriteProm(p)
+	obs.WriteRuntimeProm(p)
 	p.EOF()
 	return p.Err()
 }

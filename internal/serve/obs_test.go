@@ -6,11 +6,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"robustperiod/internal/faults"
 	"robustperiod/internal/obs"
+	"robustperiod/internal/registry"
 )
 
 // debugServer exposes the flight-recorder surfaces of an existing
@@ -289,12 +292,12 @@ func TestAccessLogSamplingAndCorrelation(t *testing.T) {
 }
 
 // TestDebugTraceCarriesQuantiles: a ?debug=1 response situates its
-// own stage timings against the server's streaming quantile
-// estimates, so every stage entry carries p50 <= p90 <= p99.
+// own stage timings against the server's stage-histogram quantiles,
+// so every stage entry carries p50 <= p90 <= p99.
 func TestDebugTraceCarriesQuantiles(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := detectBody(t, sineSeries(600, 50, 31), nil, false)
-	postJSON(t, ts.URL+"/v1/detect", body) // seed the estimators
+	postJSON(t, ts.URL+"/v1/detect", body) // seed the stage histograms
 
 	_, raw := postJSON(t, ts.URL+"/v1/detect?debug=1", body)
 	var dr DetectResponse
@@ -316,21 +319,47 @@ func TestDebugTraceCarriesQuantiles(t *testing.T) {
 }
 
 // TestMetricsConformantAfterMixedTraffic scrapes /metrics after ok,
-// cached, degraded, batch and error traffic and runs the full
-// Prometheus text-format conformance check plus spot checks on the
-// quantile series the traffic must have populated.
+// cached, degraded, batch, error and async-job traffic and runs the
+// full text-format and OpenMetrics conformance checks, pins the family
+// set to the registry catalog (the WAL families need a data
+// directory), and checks every derived quantile against the bucket
+// histogram it comes from.
 func TestMetricsConformantAfterMixedTraffic(t *testing.T) {
 	_, ts := newTestServer(t, Config{BreakerThreshold: -1})
-	body := detectBody(t, sineSeries(480, 24, 29), nil, false)
-	postJSON(t, ts.URL+"/v1/detect", body)
-	postJSON(t, ts.URL+"/v1/detect", body) // cache hit
-	postJSON(t, ts.URL+"/v1/detect", "{")  // 400
-	postJSON(t, ts.URL+"/v1/detect/batch", `{"series":[[1,2,3,4,5,6,7,8]]}`)
+	mixedTraffic(t, ts.URL)
 
 	m := metricsSnapshot(t, ts.URL) // CheckExposition runs inside
-	for _, q := range []string{"0.5", "0.9", "0.99"} {
-		promValue(t, m, "rp_request_latency_seconds_quantile", "endpoint", "detect", "q", q)
+	walOnly := []string{
+		registry.MetricWALAppendsTotal, registry.MetricWALFsyncsTotal, registry.MetricWALBytes,
+		registry.MetricWALReplayRecordsTotal, registry.MetricJobsRecoveredTotal, registry.MetricJobsLostTotal,
+		registry.MetricWALAppendErrorsTotal, registry.MetricWALSyncErrorsTotal,
+		registry.MetricWALEncodeErrorsTotal, registry.MetricWALCompactionsTotal,
 	}
+	var want, got []string
+	for _, md := range registry.Metrics() {
+		if !slices.Contains(walOnly, md.Name) {
+			want = append(want, md.Name)
+		}
+	}
+	for _, f := range m {
+		got = append(got, f.Name)
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("family set after mixed traffic:\n got %v\nwant %v", got, want)
+	}
+
+	for _, q := range []string{"0.5", "0.9", "0.99"} {
+		if v := promValue(t, m, "rp_request_latency_seconds_quantile", "endpoint", "detect", "q", q); v <= 0 {
+			t.Errorf("detect q%s = %v after traffic, want > 0", q, v)
+		}
+		if v := promValue(t, m, "rp_job_latency_seconds_quantile", "q", q); v <= 0 {
+			t.Errorf("job latency q%s = %v after a finished job, want > 0", q, v)
+		}
+	}
+	checkQuantilesInRankBuckets(t, m, "rp_request_latency_seconds_quantile", "rp_request_duration_seconds", "endpoint")
+	checkQuantilesInRankBuckets(t, m, "rp_stage_latency_seconds_quantile", "rp_stage_duration_seconds", "stage")
 	if n := promValue(t, m, "rp_request_errors_total", "endpoint", "detect"); n < 1 {
 		t.Errorf("rp_request_errors_total{endpoint=detect} = %v after a 400", n)
 	}
@@ -338,4 +367,19 @@ func TestMetricsConformantAfterMixedTraffic(t *testing.T) {
 		t.Errorf("rp_build_info = %v, want 1", n)
 	}
 	promValue(t, m, "rp_go_goroutines")
+
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var om bytes.Buffer
+	if _, err := om.ReadFrom(res.Body); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.CheckOpenMetrics(om.Bytes()); err != nil {
+		t.Fatalf("OpenMetrics scrape not conformant: %v", err)
+	}
 }

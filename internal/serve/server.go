@@ -1,6 +1,6 @@
 // Package serve is the always-on serving layer over the robustperiod
 // library: a JSON HTTP API with a bounded worker pool, an LRU result
-// cache, per-request timeouts and cancellation, expvar metrics, and
+// cache, per-request timeouts and cancellation, Prometheus metrics, and
 // graceful drain on shutdown. It is the deployment shape the paper's
 // motivating scenario (large-scale cloud monitoring) actually runs:
 // many independent series arriving concurrently at one detector.
@@ -11,11 +11,13 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"math"
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +36,7 @@ type Config struct {
 	// Addr is the listen address; "" means ":8080".
 	Addr string
 	// DebugAddr, when non-empty, serves the debug listener
-	// (net/http/pprof under /debug/pprof/, expvar under /debug/vars)
+	// (net/http/pprof under /debug/pprof/, metrics JSON under /debug/vars)
 	// on a separate address — keep it on loopback or an internal
 	// interface; profiling endpoints do not belong on the API port.
 	// Empty disables the debug listener.
@@ -115,7 +117,8 @@ type Config struct {
 	SLOInterval time.Duration
 	// SLOLatencyTarget is the latency objective's threshold: the
 	// latency SLO counts a request good when it finished under this
-	// bound; 0 means 500ms.
+	// bound; 0 means 500ms. It must be one of the request-latency
+	// histogram's bucket bounds (latencyBucketsMS), or New errors.
 	SLOLatencyTarget time.Duration
 	// SLOWindows overrides the burn-rate alerting windows; nil selects
 	// the SRE-workbook defaults (5m/1h at 14.4x, 30m/6h at 6x).
@@ -206,10 +209,8 @@ type Server struct {
 	recorder  *obs.Recorder
 	accessCtr atomic.Uint64
 
-	// jobs is the async submit-then-poll tier (POST /v1/jobs), and
-	// jobLatQ its submit-to-completion latency quantile estimator.
-	jobs    *jobs.Manager
-	jobLatQ *obs.Quantiles
+	// jobs is the async submit-then-poll tier (POST /v1/jobs).
+	jobs *jobs.Manager
 
 	// Span tracing: the trace flight recorder behind /debug/traces,
 	// the head-sampling counter, and the tenant-label cap shared by
@@ -241,6 +242,9 @@ type Server struct {
 // or a replay failure (corrupt snapshot, injected wal/replay fault).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if err := checkSLOLatencyTarget(cfg.SLOLatencyTarget); err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:      cfg,
 		pool:     newWorkerPool(cfg.Workers, cfg.QueueLen),
@@ -248,7 +252,6 @@ func New(cfg Config) (*Server, error) {
 		idGen:    obs.NewIDGen(),
 		logger:   cfg.Logger,
 		recorder: obs.NewRecorder(cfg.RecorderSize),
-		jobLatQ:  obs.NewQuantiles(),
 		spans:    trace.NewSpanStore(cfg.TraceStoreSize),
 		tenants:  newTenantCounts(cfg.TenantMaxLabels),
 	}
@@ -302,14 +305,15 @@ func New(cfg Config) (*Server, error) {
 		[]string{epDetect, epBatch, epJobs, epJobStatus, epHealthz, epMetrics},
 		s.pool.depth, s.cache.len,
 	)
-	s.metrics.registerBreakers(s.breakers)
-	s.metrics.registerCacheCorruptions(s.cache.corrupted)
+	s.metrics.breakers = s.breakers
+	s.metrics.corruptions = s.cache.corrupted
+	s.metrics.jobsMgr = s.jobs
 	// The EWMA is kept in nanoseconds (duration arithmetic in admit and
 	// jobRetrySeconds); the _seconds gauge converts at the edge.
-	s.metrics.registerJobs(s.jobs, s.jobLatQ, func() float64 {
+	s.metrics.jobEWMA = func() float64 {
 		return math.Float64frombits(s.jobEWMA.Load()) / float64(time.Second)
-	})
-	s.metrics.registerTracing(s.tenants)
+	}
+	s.metrics.tenants = s.tenants
 	// The SLO engine samples the metrics counters just registered:
 	// availability counts every compute request not answered with an
 	// error or shed status, latency counts requests finishing under the
@@ -323,7 +327,7 @@ func New(cfg Config) (*Server, error) {
 		Interval:   cfg.SLOInterval,
 		OnFastBurn: s.onFastBurn,
 	})
-	s.metrics.registerSLO(s.sloEng)
+	s.metrics.sloStatus = s.sloEng.Status
 	s.sloDone = make(chan struct{})
 	go s.sloEng.Run(s.sloDone)
 	s.mux = http.NewServeMux()
@@ -360,10 +364,10 @@ func (s *Server) Close() {
 // client's side of the wire).
 func (s *Server) availabilitySource() (good, total float64) {
 	for _, ep := range []string{epDetect, epBatch, epJobs} {
-		req := expvarInt(s.metrics.requests, ep)
-		errs := expvarInt(s.metrics.errors, ep)
+		e := s.metrics.endpoint[ep]
+		req := float64(e.requests.Load())
 		total += req
-		good += req - errs
+		good += req - float64(e.errors.Load())
 	}
 	return good, total
 }
@@ -374,11 +378,27 @@ func (s *Server) availabilitySource() (good, total float64) {
 func (s *Server) latencySource() (good, total float64) {
 	targetMS := float64(s.cfg.SLOLatencyTarget) / float64(time.Millisecond)
 	for _, ep := range []string{epDetect, epBatch, epJobs} {
-		g, t := s.metrics.latency[ep].countUnder(targetMS)
+		g, t := s.metrics.endpoint[ep].latency.countUnder(targetMS)
 		good += g
 		total += t
 	}
 	return good, total
+}
+
+// checkSLOLatencyTarget accepts only a request-latency bucket bound as
+// the latency SLO's target: latencySource counts whole buckets, so a
+// target inside a bucket would misclassify every request in it.
+func checkSLOLatencyTarget(target time.Duration) error {
+	allowed := make([]string, len(latencyBucketsMS))
+	for i, b := range latencyBucketsMS {
+		d := time.Duration(b * float64(time.Millisecond))
+		if d == target {
+			return nil
+		}
+		allowed[i] = d.String()
+	}
+	return fmt.Errorf("serve: SLO latency target %v is not a request-latency bucket bound; use one of %s",
+		target, strings.Join(allowed, ", "))
 }
 
 // onFastBurn is the SLO engine's rising-edge hook: log the page-worthy
@@ -524,7 +544,7 @@ func (s *Server) instrument(ep string, h http.HandlerFunc) http.Handler {
 			defer s.finishRequest(scope, spanRec, remoteParent, rec, start)
 
 			if s.draining.Load() {
-				s.metrics.shed.Add(ep, 1)
+				s.metrics.endpoint[ep].shed.Add(1)
 				scope.ErrorCode = "shutting_down"
 				writeError(rec, http.StatusServiceUnavailable, "shutting_down",
 					"server is draining; retry against another instance")
@@ -532,7 +552,7 @@ func (s *Server) instrument(ep string, h http.HandlerFunc) http.Handler {
 			}
 			br := s.breakers[ep]
 			if !br.allow() {
-				s.metrics.shed.Add(ep, 1)
+				s.metrics.endpoint[ep].shed.Add(1)
 				scope.ErrorCode = "breaker_open"
 				rec.Header().Set("Retry-After", strconv.Itoa(br.retryAfter()))
 				writeError(rec, http.StatusServiceUnavailable, "breaker_open",
